@@ -12,7 +12,7 @@ DDP_SEED ?= 421
 # Override or disable: make test TIMEOUT=
 TIMEOUT ?= timeout 1200
 
-.PHONY: all build check test smoke obs-smoke static-smoke foreign-smoke dag-smoke race-smoke daemon-smoke daemon-chaos fuzz-smoke fuzz-nightly bench _bench-collect bench-json bench-quick bench-baseline bench-ratchet bench-ratchet-selftest clean
+.PHONY: all build check test smoke obs-smoke static-smoke foreign-smoke dag-smoke race-smoke daemon-smoke daemon-chaos perfbench-smoke fuzz-smoke fuzz-nightly bench _bench-collect bench-json bench-quick bench-baseline bench-ratchet bench-ratchet-selftest clean
 
 all: build
 
@@ -149,6 +149,16 @@ daemon-smoke: build
 daemon-chaos: build
 	@mkdir -p _daemon
 	$(TIMEOUT) $(DDPCHECK) daemon --seed $(DDP_SEED) --count 10 --clients 5 --out _daemon
+
+# The daemon data path end to end, as the benchmark drives it: an
+# in-process ddpd serving closed-loop clients that replay recorded
+# task-program traces (trace codec, DATA framing, in-place decode,
+# recycled serial signatures).  Every REPORT must be Complete, its keys
+# must equal a batch serial replay of the same trace, and FPR/FNR
+# against the perfect oracle must stay <= 1%; any failed check exits 1.
+# ~12 s on a 2-core host.
+perfbench-smoke: build
+	$(TIMEOUT) python3 perfbench/run.py --workload daemon-replay --seed 1 --seconds 5 --trace 0
 
 # Differential fuzzing + schedule exploration, small fixed-seed budget
 # (~30s): every engine diffed against the perfect oracle, the virtual

@@ -4,7 +4,9 @@
    Baseline_engines, since core cannot depend on baselines. *)
 
 (* Serial profilers (signature and perfect) share the Serial_profiler
-   record shape, so one adapter covers both. *)
+   record shape, so one adapter covers both.  A finished session has
+   read everything it reports off its stores, so it hands them back for
+   the next session to reuse. *)
 let of_serial ~name ~description ~exact make_profiler =
   Engine.make ~name ~description ~exact (fun ?account config ->
       let p : Serial_profiler.t = make_profiler ?account config in
@@ -15,11 +17,13 @@ let of_serial ~name ~description ~exact make_profiler =
             (match config.Config.obs with
             | Some obs -> p.Serial_profiler.fold_obs obs
             | None -> ());
+            let store_bytes = p.Serial_profiler.store_bytes () in
+            p.Serial_profiler.release ();
             {
               Engine.deps = p.Serial_profiler.deps;
               regions = p.Serial_profiler.regions;
               health = Engine.health_of_regions p.Serial_profiler.regions;
-              store_bytes = p.Serial_profiler.store_bytes ();
+              store_bytes;
               extra = Engine.No_extra;
             });
       })

@@ -182,13 +182,14 @@ let process_chunk w chunk =
    chunk's measured process time after processing it.  Exists so the CI
    perf ratchet can prove it catches regressions — `make
    bench-ratchet-selftest` seeds DDP_PERTURB_WORKER=0.10 and expects the
-   worker_step_ns gate to fail.  Read once; 0.0 (unset) costs one float
-   compare per chunk. *)
+   worker_step_ns gate to fail.  Read once, at module initialisation:
+   every worker domain reads it, and a [lazy] forced by two domains at
+   once raises [CamlinternalLazy.Undefined] in one of them.  0.0 (unset)
+   costs one float compare per chunk. *)
 let perturb_worker =
-  lazy
-    (match Sys.getenv_opt "DDP_PERTURB_WORKER" with
-    | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 0.0)
-    | None -> 0.0)
+  match Sys.getenv_opt "DDP_PERTURB_WORKER" with
+  | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 0.0)
+  | None -> 0.0
 
 (* Consume one popped chunk: the worker's unit of progress, shared by the
    domain loop and the virtual scheduler's worker_step. *)
@@ -200,7 +201,7 @@ let consume (w : worker) chunk =
   let t0 = Clock.now () in
   process_chunk w chunk;
   let t1 = Clock.now () in
-  (let f = Lazy.force perturb_worker in
+  (let f = perturb_worker in
    if f > 0.0 then begin
      let until = t1 +. ((t1 -. t0) *. f) in
      while Clock.now () < until do

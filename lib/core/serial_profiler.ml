@@ -98,8 +98,8 @@ let create_signature ?account (config : Config.t) =
     store_bytes = (fun () -> Sig_store.bytes reads + Sig_store.bytes writes);
     release =
       (fun () ->
-        Sig_store.release reads;
-        Sig_store.release writes);
+        Sig_store.recycle reads;
+        Sig_store.recycle writes);
     fold_obs =
       (fun obs ->
         let module Obs = Ddp_obs.Obs in

@@ -8,7 +8,10 @@ type t = {
   regions : Region.t;
   set_observer : Algo.dep_observer -> unit;
   store_bytes : unit -> int;
-  release : unit -> unit;  (** return accounted signature bytes *)
+  release : unit -> unit;
+      (** Hand the signatures back to {!Sig_store}'s pool (no-op for the
+          perfect store); accounted bytes stay charged.  The session is
+          finished: its hooks raise from then on. *)
   fold_obs : Ddp_obs.Obs.t -> unit;
       (** Fold end-of-run store statistics (signature occupancy,
           overwrite counts, bytes) into telemetry domain 0; no-op for

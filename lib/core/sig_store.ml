@@ -12,8 +12,8 @@
    quantified by Table I and predicted by Eq. (2). *)
 
 type t = {
-  slots : int array;  (* packed payloads; 0 = empty *)
-  times : int array;
+  mutable slots : int array;  (* packed payloads; 0 = empty; [||] once recycled *)
+  mutable times : int array;
   size : int;
   mutable occupied : int;
   mutable overwrites : int;  (* sets that landed on an occupied slot *)
@@ -22,24 +22,63 @@ type t = {
 
 let bytes_per_slot = 16 (* two boxed-free int lanes *)
 
+(* Recycled signatures.  A finished session hands its arrays back
+   ([recycle]) and the next [create] of the same size takes them instead
+   of allocating: a daemon serving back-to-back serial sessions would
+   otherwise allocate (and leave the major collector to reclaim) two
+   fresh 8 MiB arrays per store per session.  Arrays are cleared on the
+   recycling side, so a taken pair is indistinguishable from a fresh
+   one.  The pool holds the [pool_cap] most recently recycled stores —
+   two serial sessions' worth — and leaves older ones to the collector,
+   so what it retains stays bounded whatever the number of concurrent
+   sessions, and a stale size cannot crowd out the current one.
+   Recycling leaves byte accounting alone: a store stays charged to the
+   account it was created under (only [release] returns the bytes). *)
+let pool_cap = 4
+
+let pool : (int array * int array) list ref = ref []
+let pool_mu = Mutex.create ()
+
+let take_pooled size =
+  Mutex.protect pool_mu (fun () ->
+      match List.partition (fun (s, _) -> Array.length s = size) !pool with
+      | p :: rest, others ->
+        pool := rest @ others;
+        Some p
+      | [], _ -> None)
+
 let create ?account ~slots () =
   if slots <= 0 then invalid_arg "Sig_store.create: slots must be positive";
   (match account with
   | Some (acct, cat) -> Ddp_util.Mem_account.add acct cat (slots * bytes_per_slot)
   | None -> ());
-  {
-    slots = Array.make slots 0;
-    times = Array.make slots 0;
-    size = slots;
-    occupied = 0;
-    overwrites = 0;
-    account;
-  }
+  let s, tm =
+    match take_pooled slots with
+    | Some p -> p
+    | None -> (Array.make slots 0, Array.make slots 0)
+  in
+  { slots = s; times = tm; size = slots; occupied = 0; overwrites = 0; account }
 
 let release t =
   match t.account with
   | Some (acct, cat) -> Ddp_util.Mem_account.sub acct cat (t.size * bytes_per_slot)
   | None -> ()
+
+(* Detach first: any later access through [t] hits the empty arrays and
+   raises, rather than reading or writing a signature some other session
+   now owns.  Idempotent. *)
+let recycle t =
+  let s = t.slots and tm = t.times in
+  if Array.length s > 0 then begin
+    t.slots <- [||];
+    t.times <- [||];
+    Array.fill s 0 t.size 0;
+    Array.fill tm 0 t.size 0;
+    Mutex.protect pool_mu (fun () -> pool := List.filteri (fun i _ -> i < pool_cap) ((s, tm) :: !pool))
+  end
+
+let pooled ~slots =
+  Mutex.protect pool_mu (fun () -> List.length (List.filter (fun (s, _) -> Array.length s = slots) !pool))
 
 let size t = t.size
 let occupied t = t.occupied

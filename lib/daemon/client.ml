@@ -188,6 +188,12 @@ let parse_report raw =
 
 (* -- public calls ----------------------------------------------------------- *)
 
+(* Room for the encoded trace up front, so the buffer does not grow by
+   doubling (and leave each smaller copy as garbage): event lines of
+   recorded traces average 23-24 bytes, and the slack absorbs traces
+   with larger addresses and times. *)
+let encoded_size_hint events = 4096 + (32 * List.length events)
+
 let default_seed () = Hashtbl.hash (Unix.gettimeofday (), Unix.getpid ())
 
 let submit ?(retries = 6) ?(base_ms = 25) ?(cap_ms = 2000) ?seed ?policy ?deadline ?inject_crash
@@ -209,9 +215,8 @@ let submit ?(retries = 6) ?(base_ms = 25) ?(cap_ms = 2000) ?seed ?policy ?deadli
   (* Encode before dialing: holding an admission slot (and the daemon's
      idle timer) while serializing a large trace would be self-inflicted
      starvation. *)
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create (encoded_size_hint events) in
   Trace_file.to_buffer buf events symtab;
-  let bytes = Buffer.contents buf in
   match dial ~retries ~base_ms ~cap_ms ~rng ~reply_timeout ~socket hello with
   | Error e -> Error e
   | Ok (fd, _admit) ->
@@ -232,11 +237,16 @@ let submit ?(retries = 6) ?(base_ms = 25) ?(cap_ms = 2000) ?seed ?policy ?deadli
       | exception Wire.Protocol_error msg -> Error (Protocol msg)
       | exception Unix.Unix_error (e, _, _) -> Error (Protocol ("i/o error: " ^ Unix.error_message e))
     in
+    (* Each DATA payload is copied once, from the encoded trace into
+       one reused frame buffer behind the header room. *)
     let stream () =
+      let total = Buffer.length buf in
+      let frame = Bytes.create (Wire.header_len + min chunk total) in
       let off = ref 0 in
-      while !off < String.length bytes do
-        let n = min chunk (String.length bytes - !off) in
-        Wire.write_frame fd Wire.Data (String.sub bytes !off n);
+      while !off < total do
+        let n = min chunk (total - !off) in
+        Buffer.blit buf !off frame Wire.header_len n;
+        Wire.write_frame_from fd Wire.Data frame ~len:n;
         off := !off + n
       done;
       Wire.write_frame fd Wire.Fin ""

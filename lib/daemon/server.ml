@@ -170,10 +170,13 @@ let handle_session t conn tenant deadline_abs =
       match t.cfg.session_deadline with Some s -> s | None -> t.cfg.idle_timeout)
     | _ -> t.cfg.idle_timeout
   in
+  (* Every frame of the session is read into one buffer, which the
+     tenant's decoder scans in place. *)
+  let rd = Wire.reader () in
   let rec loop () =
-    match Wire.read_frame ~deadline:(frame_deadline ()) conn.fd with
-    | Some (Wire.Data, bytes) -> (
-      match Tenant.feed_data tenant bytes with
+    match Wire.read_frame_into ~deadline:(frame_deadline ()) rd conn.fd with
+    | Some (Wire.Data, len) -> (
+      match Tenant.feed_data tenant (Wire.payload rd) ~off:0 ~len with
       | Ok () -> if Tenant.aborted tenant then finish_and_report t conn tenant else loop ()
       | Error _ -> finish_and_report t conn tenant)
     | Some (Wire.Fin, _) ->

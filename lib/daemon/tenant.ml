@@ -244,10 +244,12 @@ let drain_decoder t =
     | Trace_file.Stream.Need_more | Trace_file.Stream.Done -> continue := false
   done
 
-let feed_data t data =
+(* The decoder borrows [data] until it is drained: [drain_decoder] runs
+   to [Need_more], so the receiver may reuse the buffer on return. *)
+let feed_data t data ~off ~len =
   if t.st = Admitted then t.st <- Streaming;
   match
-    Trace_file.Stream.feed t.decoder data;
+    Trace_file.Stream.feed_slice t.decoder data ~off ~len;
     drain_decoder t
   with
   | () -> Ok ()

@@ -61,10 +61,13 @@ val escalations : t -> int
 
 (** {2 Receiver side (connection thread)} *)
 
-val feed_data : t -> string -> (unit, string) result
-(** Decode one DATA payload (any byte split) and enqueue full batches
-    under the backpressure policy.  [Error msg] means the bytes were
-    malformed — the tenant has already been aborted as [Corrupt]. *)
+val feed_data : t -> Bytes.t -> off:int -> len:int -> (unit, string) result
+(** Decode one DATA payload (any byte split), in place in the caller's
+    buffer, and enqueue full batches under the backpressure policy.
+    Only a line cut by the frame boundary is copied; on [Ok] nothing of
+    the buffer is retained, so the receiver may reuse it for the next
+    frame.  [Error msg] means the bytes were malformed — the tenant has
+    already been aborted as [Corrupt] and must not be fed again. *)
 
 val finish_stream : t -> (unit, string) result
 (** FIN: declare input complete, flush the decoder's tail.  [Error] on

@@ -38,14 +38,36 @@ exception Timeout
 
 val max_payload : int
 
+val header_len : int
+(** Bytes of frame header in front of every payload (5). *)
+
 val write_frame : Unix.file_descr -> frame_type -> string -> unit
 (** Raises [Unix.Unix_error] if the peer is gone (caller handles). *)
+
+val write_frame_from : Unix.file_descr -> frame_type -> Bytes.t -> len:int -> unit
+(** The slice writer: send the [len]-byte payload that the caller has
+    already placed at [header_len, header_len + len) of the buffer.
+    The header is written into the buffer's first {!header_len} bytes
+    and the frame leaves in one write, so a sender streaming many
+    frames reuses one buffer and copies each payload byte once. *)
 
 val read_frame : ?deadline:float -> Unix.file_descr -> (frame_type * string) option
 (** Blocking read of one whole frame; [None] on clean EOF at a frame
     boundary.  [deadline] is absolute ({!Unix.gettimeofday} scale);
     crossing it raises {!Timeout}.  EOF inside a frame raises
     {!Protocol_error}. *)
+
+type reader
+(** A receiver's reused payload buffer. *)
+
+val reader : unit -> reader
+
+val read_frame_into : ?deadline:float -> reader -> Unix.file_descr -> (frame_type * int) option
+(** {!read_frame} without a string per frame: the payload lands in
+    bytes [0, len) of [payload reader], valid until the next read with
+    the same reader.  Same errors and EOF behaviour as {!read_frame}. *)
+
+val payload : reader -> Bytes.t
 
 val kv_encode : (string * string) list -> string
 

@@ -75,6 +75,15 @@ module Stream : sig
   val feed : t -> string -> unit
   (** Append a chunk of input.  Raises [Invalid_argument] after {!eof}. *)
 
+  val feed_slice : t -> Bytes.t -> off:int -> len:int -> unit
+  (** Append bytes [off, off + len) of a caller-owned buffer without
+      copying them: lines are decoded in place, and only an unterminated
+      tail is copied aside.  The decoder borrows the slice until {!next}
+      returns [Need_more] or [Done]; the caller must not modify it
+      before then (so a receiver can read every frame into one reused
+      buffer, draining the decoder between frames).  Raises
+      [Invalid_argument] after {!eof} or on a slice outside the buffer. *)
+
   val eof : t -> unit
   (** Declare the input complete: no more {!feed} calls.  A final line
       needs no trailing newline (matching [input_line]). *)

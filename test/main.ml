@@ -20,6 +20,14 @@ let () =
       Unix.sleepf 0.05
     done
 
+(* Child mode for the first-parallel-session regression
+   (test_parallel.ml): state a parallel run initialises once per process
+   is only fresh in a fresh process. *)
+let () =
+  match Sys.getenv_opt "DDP_FIRST_PARALLEL_CHILD" with
+  | None -> ()
+  | Some _ -> exit (Test_parallel.first_parallel_session ())
+
 let () =
   Printf.printf "randomized suites seeded with DDP_SEED=%d\n%!" Test_seed.seed;
   Alcotest.run "ddp"

@@ -190,6 +190,68 @@ let test_concurrent_sessions () =
             (Dep_store.Key_set.equal (Client.dep_key_set r) expected))
         results)
 
+(* Recycled signatures under concurrency: tenants on different traces,
+   back to back and side by side, each taking stores another tenant
+   just handed back.  Two tenants sharing a store would mix their
+   traces' accesses and change the keys. *)
+let test_tenants_never_share_a_store () =
+  let traces =
+    collect ()
+    :: List.map
+         (fun (name, scale) ->
+           let w = Ddp_workloads.Registry.find name in
+           let symtab = Ddp_minir.Symtab.create () in
+           let events, _ =
+             Ddp_minir.Interp.trace ~input_seed:5 ~sched_seed:6 ~symtab (w.Ddp_workloads.Wl.seq ~scale)
+           in
+           (events, symtab))
+         [ ("msort-task", 1); ("scan-task", 2); ("msort-task-racy", 1) ]
+  in
+  let expected = List.map (fun (events, symtab) -> batch_keys events symtab) traces in
+  let slots = Ddp_core.Config.default.Ddp_core.Config.slots in
+  with_server
+    ~tweak:(fun c -> { c with Server.max_sessions = 4 })
+    (fun ~sock ~server:_ ->
+      let submit i (events, symtab) =
+        ok_report
+          (Client.submit ~seed:(200 + i) ~chunk_bytes:1021 ~socket:sock
+             ~name:(Printf.sprintf "t%d" i) ~mode:"serial" ~events ~symtab ())
+      in
+      let check i r =
+        Alcotest.(check bool) "complete" true r.Client.complete;
+        if not (Dep_store.Key_set.equal (Client.dep_key_set r) (List.nth expected i)) then
+          Alcotest.failf "tenant on trace %d: keys differ from its serial batch run" i
+      in
+      (* warm the pool *)
+      List.iteri (fun i tr -> check i (submit i tr)) traces;
+      Alcotest.(check bool) "finished tenants left stores in the pool" true
+        (Ddp_core.Sig_store.pooled ~slots >= 2);
+      (* reports are checked on this thread: a failure inside a client
+         thread would only kill that thread *)
+      let reports = Array.make (List.length traces) [] in
+      let threads =
+        List.mapi
+          (fun i tr ->
+            Thread.create
+              (fun () ->
+                for _ = 1 to 3 do
+                  reports.(i) <-
+                    Client.submit ~seed:(300 + i) ~chunk_bytes:1021 ~socket:sock
+                      ~name:(Printf.sprintf "c%d" i) ~mode:"serial" ~events:(fst tr) ~symtab:(snd tr) ()
+                    :: reports.(i)
+                done)
+              ())
+          traces
+      in
+      List.iter Thread.join threads;
+      Array.iteri
+        (fun i rs ->
+          Alcotest.(check int) "three sessions per client" 3 (List.length rs);
+          List.iter (fun r -> check i (ok_report r)) rs)
+        reports;
+      Alcotest.(check bool) "pool stays bounded" true
+        (Ddp_core.Sig_store.pooled ~slots <= Ddp_core.Sig_store.pool_cap))
+
 let test_busy_and_retry () =
   let events, symtab = collect () in
   with_server
@@ -452,6 +514,7 @@ let suite =
     Alcotest.test_case "client backoff bounds" `Quick test_backoff_bounds;
     Alcotest.test_case "submit matches batch run" `Quick test_submit_matches_batch;
     Alcotest.test_case "concurrent sessions" `Quick test_concurrent_sessions;
+    Alcotest.test_case "tenants never share a store" `Quick test_tenants_never_share_a_store;
     Alcotest.test_case "BUSY reply and retry" `Quick test_busy_and_retry;
     Alcotest.test_case "refused modes" `Quick test_refused_modes;
     Alcotest.test_case "crash victim isolated" `Quick test_crash_victim_isolated;

@@ -192,9 +192,39 @@ let workload_cases =
           workload_equivalence name))
     [ "is"; "mg"; "c-ray"; "streamcluster"; "tinyjpeg" ]
 
+(* The first parallel session of a process, with W = 4 worker domains
+   starting at once: any module-level state the workers initialise on
+   first use races here, and only here.  Run in a fresh process (the
+   test binary re-exec'd in DDP_FIRST_PARALLEL_CHILD mode, see
+   test/main.ml); the exit code is 0 on a Complete run. *)
+let first_parallel_session () =
+  let trace =
+    mk_trace [ (true, 1, 1); (false, 1, 2); (true, 2, 3); (true, 2, 4); (false, 2, 5); (true, 1, 6) ]
+  in
+  let _, result = run_trace_both ~config:{ small_cfg with workers = 4 } trace in
+  match result.Ddp_core.Parallel_profiler.health with
+  | Ddp_core.Health.Complete -> 0
+  | h ->
+    prerr_endline (Ddp_core.Health.to_string h);
+    1
+
+let test_first_session_in_fresh_process () =
+  let env = Array.append (Unix.environment ()) [| "DDP_FIRST_PARALLEL_CHILD=1" |] in
+  for run = 1 to 10 do
+    let pid =
+      Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env Unix.stdin Unix.stdout
+        Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED n -> Alcotest.failf "fresh process %d: first parallel session exited %d" run n
+    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "fresh process %d: signal %d" run s
+  done
+
 let suite =
   [
     Alcotest.test_case "trace equivalence basic" `Quick test_trace_equivalence_basic;
+    Alcotest.test_case "first session of a fresh process, W=4" `Quick test_first_session_in_fresh_process;
     Alcotest.test_case "worker ownership" `Quick test_worker_ownership;
     Alcotest.test_case "events conserved" `Quick test_events_conserved;
     Alcotest.test_case "free routed" `Quick test_free_routed;

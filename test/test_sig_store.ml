@@ -112,6 +112,86 @@ let test_perfect_remove () =
   Alcotest.(check int) "gone" 0 (Ddp_core.Perfect_sig.probe s ~addr:5);
   Alcotest.(check int) "entries 0" 0 (Ddp_core.Perfect_sig.entries s)
 
+(* -- recycled signatures ------------------------------------------------------ *)
+
+module Engine = Ddp_core.Engine
+module Sig_store = Ddp_core.Sig_store
+
+(* A slot count no other test uses, small enough that the traces
+   collide: a store reused without being cleared would change keys. *)
+let recycle_slots = (1 lsl 12) + 3
+
+let trace name scale =
+  let w = Ddp_workloads.Registry.find name in
+  fst (Ddp_minir.Interp.trace ~input_seed:3 ~sched_seed:4 (w.Ddp_workloads.Wl.seq ~scale))
+
+let serial_session () =
+  Ddp_core.Engines.serial.Engine.create { Ddp_core.Config.default with slots = recycle_slots }
+
+let keys_of (s : Engine.session) events =
+  Ddp_minir.Event.replay s.Engine.hooks events;
+  Ddp_core.Dep_store.key_set (s.Engine.finish ()).Engine.deps
+
+let test_recycle_detaches_and_clears () =
+  let s = Sig_store.create ~slots:recycle_slots () in
+  Sig_store.set s ~addr:77 ~payload:(mk_payload 4) ~time:9;
+  Sig_store.recycle s;
+  Sig_store.recycle s (* idempotent *);
+  (match Sig_store.probe s ~addr:77 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "probe on a recycled store answered");
+  (match Sig_store.set s ~addr:77 ~payload:(mk_payload 5) ~time:10 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "set on a recycled store accepted");
+  let before = Sig_store.pooled ~slots:recycle_slots in
+  Alcotest.(check bool) "pooled" true (before >= 1);
+  let s' = Sig_store.create ~slots:recycle_slots () in
+  Alcotest.(check int) "taken from the pool" (before - 1) (Sig_store.pooled ~slots:recycle_slots);
+  Alcotest.(check int) "cleared payload" 0 (Sig_store.probe s' ~addr:77);
+  Alcotest.(check int) "cleared time" 0 (Sig_store.probe_time s' ~addr:77);
+  Alcotest.(check int) "occupancy zero" 0 (Sig_store.occupied s');
+  Sig_store.recycle s'
+
+let test_pool_bounded () =
+  let stores = List.init (Sig_store.pool_cap + 3) (fun _ -> Sig_store.create ~slots:recycle_slots ()) in
+  List.iter Sig_store.recycle stores;
+  Alcotest.(check bool) "at most pool_cap retained" true
+    (Sig_store.pooled ~slots:recycle_slots <= Sig_store.pool_cap)
+
+(* Fresh stores, then stores last used on another trace, then again:
+   the same keys every time. *)
+let test_back_to_back_sessions () =
+  let a = trace "scan-task" 4 and b = trace "msort-task-racy" 2 in
+  let fresh = keys_of (serial_session ()) a in
+  Alcotest.(check bool) "finished session handed both stores back" true
+    (Sig_store.pooled ~slots:recycle_slots >= 2);
+  let other = keys_of (serial_session ()) b in
+  let again = keys_of (serial_session ()) a in
+  Alcotest.(check bool) "recycled stores, same keys" true (Ddp_core.Dep_store.Key_set.equal fresh again);
+  let other_again = keys_of (serial_session ()) b in
+  Alcotest.(check bool) "other trace, same keys" true (Ddp_core.Dep_store.Key_set.equal other other_again)
+
+(* A finished session's hooks raise, and its stores' next owner never
+   sees the late events. *)
+let test_late_hook_raises () =
+  let a = trace "scan-task" 4 in
+  let fresh = keys_of (serial_session ()) a in
+  let old = serial_session () in
+  ignore (keys_of old a : Ddp_core.Dep_store.Key_set.t);
+  let next = serial_session () in
+  let half = List.length a / 2 in
+  Ddp_minir.Event.replay next.Engine.hooks (List.filteri (fun i _ -> i < half) a);
+  let h = old.Engine.hooks in
+  (match h.Ddp_minir.Event.on_write ~addr:5 ~loc:1 ~var:0 ~thread:0 ~time:1 ~locked:false with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a finished session's write hook ran");
+  (match h.Ddp_minir.Event.on_read ~addr:5 ~loc:1 ~var:0 ~thread:0 ~time:2 ~locked:false with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a finished session's read hook ran");
+  Ddp_minir.Event.replay next.Engine.hooks (List.filteri (fun i _ -> i >= half) a);
+  let got = Ddp_core.Dep_store.key_set (next.Engine.finish ()).Engine.deps in
+  Alcotest.(check bool) "next session's keys unchanged" true (Ddp_core.Dep_store.Key_set.equal fresh got)
+
 let suite =
   [
     Alcotest.test_case "empty probe" `Quick test_empty_probe;
@@ -123,6 +203,10 @@ let suite =
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "invalid size" `Quick test_invalid_size;
     Alcotest.test_case "perfect remove" `Quick test_perfect_remove;
+    Alcotest.test_case "recycle detaches and clears" `Quick test_recycle_detaches_and_clears;
+    Alcotest.test_case "recycle pool bounded" `Quick test_pool_bounded;
+    Alcotest.test_case "back-to-back sessions on recycled stores" `Quick test_back_to_back_sessions;
+    Alcotest.test_case "finished session's hooks raise" `Quick test_late_hook_raises;
     Test_seed.to_alcotest prop_exact_when_no_collisions;
     Test_seed.to_alcotest prop_perfect_is_exact;
   ]

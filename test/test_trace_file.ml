@@ -274,6 +274,280 @@ let test_stream_feed_after_eof () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "feed accepted after eof"
 
+(* -- codec equivalence ------------------------------------------------------- *)
+
+module Event = Ddp_minir.Event
+
+(* The reference writer: the Printf-based emitter the hand-written
+   encoder replaced, kept verbatim as the byte-for-byte oracle of the
+   version-2 format. *)
+let printf_encode events (symtab : Ddp_minir.Symtab.t) =
+  let buf = Buffer.create 4096 in
+  let emit = Buffer.add_string buf in
+  let p fmt = Printf.ksprintf emit fmt in
+  let b x = if x then 1 else 0 in
+  let sync_kind_int = function
+    | Event.Task_spawn -> 0
+    | Event.Task_join -> 1
+    | Event.Lock_acquire -> 2
+    | Event.Lock_release -> 3
+  in
+  emit "ddp-trace 2\n";
+  List.iter
+    (fun c ->
+      emit (Printf.sprintf "%%class %s" (Event.Class.name c));
+      List.iter (fun tag -> emit (Printf.sprintf " %c" tag)) (TF.class_tags c);
+      emit "\n")
+    Event.Class.all;
+  List.iter
+    (function
+      | Event.Read { addr; loc; var; thread; time; locked } ->
+        p "R %d %d %d %d %d %d\n" addr loc var thread time (b locked)
+      | Event.Write { addr; loc; var; thread; time; locked } ->
+        p "W %d %d %d %d %d %d\n" addr loc var thread time (b locked)
+      | Event.Region_enter { loc; thread; time } -> p "B %d %d %d\n" loc thread time
+      | Event.Region_iter { loc; thread; time } -> p "I %d %d %d\n" loc thread time
+      | Event.Region_exit { loc; end_loc; iterations; thread; time } ->
+        p "E %d %d %d %d %d\n" loc end_loc iterations thread time
+      | Event.Call { loc; func; thread; time } -> p "C %d %d %d %d\n" loc func thread time
+      | Event.Return { func; thread; time } -> p "T %d %d %d\n" func thread time
+      | Event.Thread_end { thread } -> p "X %d\n" thread
+      | Event.Alloc { base; len; var } -> p "A %d %d %d\n" base len var
+      | Event.Free { base; len; var } -> p "F %d %d %d\n" base len var
+      | Event.Sync { kind; obj; thread; time } ->
+        p "Y %d %d %d %d\n" (sync_kind_int kind) obj thread time)
+    events;
+  Ddp_util.Intern.iter symtab.Ddp_minir.Symtab.vars (fun id name ->
+      emit (Printf.sprintf "%%var %d %s\n" id (String.escaped name)));
+  Ddp_util.Intern.iter symtab.Ddp_minir.Symtab.files (fun id name ->
+      emit (Printf.sprintf "%%file %d %s\n" id (String.escaped name)));
+  emit "%end\n";
+  Buffer.contents buf
+
+let encode events symtab =
+  let buf = Buffer.create 4096 in
+  TF.to_buffer buf events symtab;
+  Buffer.contents buf
+
+(* Every constructor, with the ints a digit loop gets wrong first:
+   0, single digits, powers of ten and their neighbours, negatives,
+   [max_int] and [min_int]. *)
+let extreme_events () =
+  let ints =
+    [ 0; 1; 9; 10; 11; 99; 100; 999; 1000; 9999; 10000; 123456789; -1; -9; -10; -10000;
+      max_int; min_int; max_int - 1; min_int + 1; 1_000_000_000_000_000_000 ]
+  in
+  let kinds = Event.[ Task_spawn; Task_join; Lock_acquire; Lock_release ] in
+  List.concat_map
+    (fun n ->
+      Event.
+        [
+          Read { addr = n; loc = n; var = n; thread = n; time = n; locked = n land 1 = 1 };
+          Write { addr = -n; loc = n; var = 3; thread = 0; time = n; locked = false };
+          Region_enter { loc = n; thread = 1; time = n };
+          Region_iter { loc = n; thread = n; time = 2 };
+          Region_exit { loc = n; end_loc = -n; iterations = n; thread = 0; time = n };
+          Alloc { base = n; len = 8; var = n };
+          Free { base = n; len = n; var = 0 };
+          Call { loc = n; func = n; thread = n; time = n };
+          Return { func = n; thread = 0; time = n };
+          Thread_end { thread = n };
+          Sync { kind = List.nth kinds (abs (n mod 4)); obj = n; thread = n; time = n };
+        ])
+    ints
+
+(* Locks, task spawn/join, a freed array, calls and nested loops in one
+   program: every class of the algebra on the wire. *)
+let rich_prog () =
+  B.program ~name:"rich"
+    ~funcs:[ B.proc "bump" [ "k" ] [ B.store "a" (B.v "k") B.(idx "a" (v "k") +: i 1) ] ]
+    [
+      B.arr "a" (B.i 16);
+      B.arr "tmp" (B.i 4);
+      B.for_ "i" (B.i 0) (B.i 4) (fun iv ->
+          [ B.store "tmp" iv iv; B.for_ "j" (B.i 0) (B.i 3) (fun jv -> [ B.call_proc "bump" [ jv ] ]) ]);
+      B.free "tmp";
+      B.spawn [ B.lock 1; B.store "a" (B.i 0) B.(idx "a" (i 0) +: i 1); B.unlock 1; B.call_proc "bump" [ B.i 2 ] ];
+      B.spawn [ B.lock 1; B.store "a" (B.i 0) B.(idx "a" (i 0) +: i 2); B.unlock 1; B.store "a" (B.i 5) (B.i 1) ];
+      B.spawn [ B.store "a" (B.i 6) (B.i 2) ];
+      B.sync ();
+      B.local "s" B.(idx "a" (i 5) +: idx "a" (i 6));
+    ]
+
+let daemon_replay_traces () =
+  (* the served traffic of the daemon-replay benchmark, seed 1 *)
+  List.map
+    (fun (name, scale) ->
+      let w = Ddp_workloads.Registry.find name in
+      let symtab = Ddp_minir.Symtab.create () in
+      let events, _ =
+        Ddp_minir.Interp.trace ~input_seed:1 ~sched_seed:2 ~symtab (w.Ddp_workloads.Wl.seq ~scale)
+      in
+      (name, events, symtab))
+    [ ("msort-task", 4); ("msort-task-racy", 4); ("scan-task", 32); ("scan-task-racy", 40) ]
+
+let test_encoder_matches_printf () =
+  let rich =
+    let symtab = Ddp_minir.Symtab.create () in
+    let events, _ = Ddp_minir.Interp.trace ~symtab (rich_prog ()) in
+    ("rich", events, symtab)
+  in
+  let extreme = ("extremes", extreme_events (), Ddp_minir.Symtab.create ()) in
+  List.iter
+    (fun (name, events, symtab) ->
+      let classes = List.sort_uniq Event.Class.compare (List.map Event.class_of events) in
+      if name = "rich" && List.length classes <> List.length Event.Class.all then
+        Alcotest.failf "%s: only %d of the event classes occur" name (List.length classes);
+      let got = encode events symtab in
+      if got <> printf_encode events symtab then Alcotest.failf "%s: encoding differs from Printf's" name;
+      (* and it decodes back to the same events *)
+      let st = TF.Stream.create () in
+      TF.Stream.feed st got;
+      TF.Stream.eof st;
+      let rec go acc =
+        match TF.Stream.next st with
+        | TF.Stream.Event e -> go (e :: acc)
+        | TF.Stream.Done -> List.rev acc
+        | TF.Stream.Need_more -> Alcotest.fail "Need_more after eof"
+      in
+      if go [] <> events then Alcotest.failf "%s: decode (encode events) <> events" name)
+    (rich :: extreme :: daemon_replay_traces ())
+
+(* The files the recorders write are the same bytes as [to_buffer]. *)
+let test_writers_agree () =
+  let symtab = Ddp_minir.Symtab.create () in
+  let events, _ = Ddp_minir.Interp.trace ~symtab (rich_prog ()) in
+  let expected = printf_encode events symtab in
+  let path = tmp "writers.trace" in
+  TF.save ~path events symtab;
+  Alcotest.(check string) "save" expected (In_channel.with_open_bin path In_channel.input_all);
+  TF.record ~path (rich_prog ());
+  Alcotest.(check string) "record" expected (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
+
+(* Non-canonical event lines.  The expectations are those of the
+   [split_on_char] + [int_of_string_opt] line parser the in-place
+   decoder replaced: a field is any run of non-spaces that OCaml's
+   integer syntax accepts, fields are separated by one or more spaces,
+   and the tag need not be followed by one.  [None] = rejected. *)
+let rd ?(locked = false) addr loc var thread time =
+  [ Event.Read { addr; loc; var; thread; time; locked } ]
+
+let corpus =
+  [
+    ("canonical", "", "R 1 2 3 4 5 0\n", Some (rd 1 2 3 4 5));
+    ("double spaces", "", "R  1 2  3 4   5 1\n", Some (rd ~locked:true 1 2 3 4 5));
+    ("trailing spaces", "", "R 1 2 3 4 5 0  \n", Some (rd 1 2 3 4 5));
+    ("no space after tag", "", "R1 2 3 4 5 0\n", Some (rd 1 2 3 4 5));
+    ("plus sign", "", "R +5 2 3 4 5 0\n", Some (rd 5 2 3 4 5));
+    ("hex", "", "R 0x1f 2 3 4 5 0\n", Some (rd 31 2 3 4 5));
+    ("octal and binary", "", "R 0o17 0b101 3 4 5 0\n", Some (rd 15 5 3 4 5));
+    ("underscores", "", "R 1_000 2 3 4 5 0\n", Some (rd 1000 2 3 4 5));
+    ("minus one", "", "R -1 2 3 4 5 0\n", Some (rd (-1) 2 3 4 5));
+    ("minus zero", "", "R -0 2 3 4 5 0\n", Some (rd 0 2 3 4 5));
+    ("leading zeros", "", "R 007 2 3 4 5 0\n", Some (rd 7 2 3 4 5));
+    ("24 digits, leading zeros", "", "R 000000000000000000000042 2 3 4 5 0\n", Some (rd 42 2 3 4 5));
+    ("18 digits", "", "R 999999999999999999 2 3 4 5 0\n", Some (rd 999999999999999999 2 3 4 5));
+    ("19 digits", "", "R 1234567890123456789 2 3 4 5 0\n", Some (rd 1234567890123456789 2 3 4 5));
+    ("max_int", "", "R 4611686018427387903 2 3 4 5 0\n", Some (rd max_int 2 3 4 5));
+    ("min_int", "", "R -4611686018427387904 2 3 4 5 0\n", Some (rd min_int 2 3 4 5));
+    ("max_int + 1", "", "R 4611686018427387904 2 3 4 5 0\n", None);
+    ("min_int - 1", "", "R -4611686018427387905 2 3 4 5 0\n", None);
+    ("19 digits past max_int", "", "R 9999999999999999999 2 3 4 5 0\n", None);
+    ("20 digits", "", "R 99999999999999999999 2 3 4 5 0\n", None);
+    ("lone minus", "", "R - 2 3 4 5 0\n", None);
+    ("double minus", "", "R --5 2 3 4 5 0\n", None);
+    ("minus inside", "", "R 5-3 2 3 4 5 0\n", None);
+    ("tab separator", "", "R 1\t2 3 4 5 0\n", None);
+    ("carriage return", "", "R 1 2 3 4 5 0\r\n", None);
+    ("letters", "", "R 1 2 x 4 5 0\n", None);
+    ("too few fields", "", "R 1 2 3 4 5\n", None);
+    ("too many fields", "", "R 1 2 3 4 5 0 7\n", None);
+    ("leading space", "", " R 1 2 3 4 5 0\n", None);
+    ("empty line", "", "\nR 1 2 3 4 5 0\n\n", Some (rd 1 2 3 4 5));
+    ("unknown tag", "", "Q 1 2 3\n", None);
+    ("known sync kind", "", "Y 0 7 1 2\n",
+     Some [ Event.Sync { kind = Event.Task_spawn; obj = 7; thread = 1; time = 2 } ]);
+    ("unknown sync kind", "", "Y 4 7 1 2\n", None);
+    ("unknown class: skipped", "%class quux Q\n", "Q 1 2 3\nQ\n", Some []);
+    ("unknown class: bad int still rejected", "%class quux Q\n", "Q 1 x\n", None);
+    ("unknown class claims a known tag", "%class quux R\n", "R 1 2\n", Some []);
+    ("known class, wrong tags", "%class memory R\n", "R 1 2 3 4 5 0\n", None);
+    ("line after %end", "", "%end\nR 1 2 3 4 5 0\n", None);
+    ("empty line after %end", "", "%end\n\n", None);
+  ]
+
+let corpus_trace header body =
+  let empty = encode [] (Ddp_minir.Symtab.create ()) in
+  (* the empty trace is the v2 header, then the seal *)
+  let header_only = String.sub empty 0 (String.length empty - String.length "%end\n") in
+  let sealed = String.starts_with ~prefix:"%end" body in
+  header_only ^ header ^ body ^ if sealed then "" else "%end\n"
+
+(* Decode [chunks] fed one after another; [None] on Parse_error. *)
+let decode_chunks feed chunks =
+  let st = TF.Stream.create () in
+  let acc = ref [] in
+  let rec drain () =
+    match TF.Stream.next st with
+    | TF.Stream.Event e ->
+      acc := e :: !acc;
+      drain ()
+    | TF.Stream.Need_more | TF.Stream.Done -> ()
+  in
+  match
+    List.iter
+      (fun c ->
+        feed st c;
+        drain ())
+      chunks;
+    TF.Stream.eof st;
+    drain ()
+  with
+  | () -> Some (List.rev !acc)
+  | exception TF.Parse_error _ -> None
+
+(* [feed_slice] through one reused buffer, overwritten after each drain:
+   the receiver's discipline. *)
+let slice_feeder () =
+  let frame = Bytes.make 64 '#' in
+  fun st c ->
+    let n = String.length c in
+    let frame = if n > Bytes.length frame then Bytes.create n else frame in
+    Bytes.blit_string c 0 frame 0 n;
+    TF.Stream.feed_slice st frame ~off:0 ~len:n
+
+let test_corpus_acceptance () =
+  List.iter
+    (fun (name, header, body, expected) ->
+      let trace = corpus_trace header body in
+      let n = String.length trace in
+      let show = function None -> "rejected" | Some evs -> Printf.sprintf "%d events" (List.length evs) in
+      let check how got =
+        if got <> expected then Alcotest.failf "%s (%s): got %s, want %s" name how (show got) (show expected)
+      in
+      check "whole" (decode_chunks TF.Stream.feed [ trace ]);
+      for cut = 0 to n do
+        let parts = [ String.sub trace 0 cut; String.sub trace cut (n - cut) ] in
+        check (Printf.sprintf "split at %d" cut) (decode_chunks TF.Stream.feed parts);
+        let feed = slice_feeder () in
+        check (Printf.sprintf "slices split at %d" cut) (decode_chunks feed parts)
+      done)
+    corpus
+
+(* A buffer reused frame after frame: every line cut by a frame boundary
+   must survive the buffer being overwritten. *)
+let test_reused_frame_buffer () =
+  let bytes, expected = encode_sample () in
+  List.iter
+    (fun k ->
+      let frames = List.init ((String.length bytes + k - 1) / k) (fun i ->
+          String.sub bytes (i * k) (min k (String.length bytes - (i * k)))) in
+      match decode_chunks (slice_feeder ()) frames with
+      | Some got when got = expected -> ()
+      | _ -> Alcotest.failf "frames of %d bytes through one buffer: events differ" k)
+    [ 1; 5; 17; 64; 1000 ]
+
 let suite =
   [
     Alcotest.test_case "roundtrip events" `Quick test_roundtrip_events;
@@ -294,4 +568,8 @@ let suite =
     Alcotest.test_case "stream: truncation fails at eof" `Quick test_stream_truncated_fails_at_eof;
     Alcotest.test_case "stream: garbage still errors" `Quick test_stream_garbage_still_errors;
     Alcotest.test_case "stream: feed after eof" `Quick test_stream_feed_after_eof;
+    Alcotest.test_case "codec: encoder bytes == Printf emitter" `Quick test_encoder_matches_printf;
+    Alcotest.test_case "codec: save and record write the same bytes" `Quick test_writers_agree;
+    Alcotest.test_case "codec: non-canonical lines, every split" `Quick test_corpus_acceptance;
+    Alcotest.test_case "codec: one reused frame buffer" `Quick test_reused_frame_buffer;
   ]
