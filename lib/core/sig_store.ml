@@ -17,23 +17,26 @@ type t = {
   size : int;
   mutable occupied : int;
   mutable overwrites : int;  (* sets that landed on an occupied slot *)
-  account : (Ddp_util.Mem_account.t * string) option;
 }
 
 let bytes_per_slot = 16 (* two boxed-free int lanes *)
 
 (* Recycled signatures.  A finished session hands its arrays back
    ([recycle]) and the next [create] of the same size takes them instead
-   of allocating: a daemon serving back-to-back serial sessions would
-   otherwise allocate (and leave the major collector to reclaim) two
-   fresh 8 MiB arrays per store per session.  Arrays are cleared on the
-   recycling side, so a taken pair is indistinguishable from a fresh
-   one.  The pool holds the [pool_cap] most recently recycled stores —
-   two serial sessions' worth — and leaves older ones to the collector,
-   so what it retains stays bounded whatever the number of concurrent
-   sessions, and a stale size cannot crowd out the current one.
-   Recycling leaves byte accounting alone: a store stays charged to the
-   account it was created under (only [release] returns the bytes). *)
+   of allocating.  This pays off in one kind of traffic: a process
+   running many short, back-to-back serial sessions with the same slot
+   count — a daemon serving small task traces — where each session
+   would otherwise allocate two fresh 8 MiB arrays per store and leave
+   them to the major collector, which falls behind and lets the heap
+   grow.  A single long session gains nothing: the pool then only holds
+   its arrays after it ends.  Arrays are cleared on the recycling side,
+   so a taken pair is indistinguishable from a fresh one.  The pool
+   holds the [pool_cap] most recently recycled stores — two serial
+   sessions' worth — and leaves older ones to the collector, so what it
+   retains stays bounded whatever the number of concurrent sessions,
+   and a stale size cannot crowd out the current one.  Recycling leaves
+   byte accounting alone: a store stays charged to the account it was
+   created under. *)
 let pool_cap = 4
 
 let pool : (int array * int array) list ref = ref []
@@ -41,11 +44,11 @@ let pool_mu = Mutex.create ()
 
 let take_pooled size =
   Mutex.protect pool_mu (fun () ->
-      match List.partition (fun (s, _) -> Array.length s = size) !pool with
-      | p :: rest, others ->
-        pool := rest @ others;
+      match List.find_opt (fun (s, _) -> Array.length s = size) !pool with
+      | Some p ->
+        pool := List.filter (fun q -> q != p) !pool;
         Some p
-      | [], _ -> None)
+      | None -> None)
 
 let create ?account ~slots () =
   if slots <= 0 then invalid_arg "Sig_store.create: slots must be positive";
@@ -57,12 +60,7 @@ let create ?account ~slots () =
     | Some p -> p
     | None -> (Array.make slots 0, Array.make slots 0)
   in
-  { slots = s; times = tm; size = slots; occupied = 0; overwrites = 0; account }
-
-let release t =
-  match t.account with
-  | Some (acct, cat) -> Ddp_util.Mem_account.sub acct cat (t.size * bytes_per_slot)
-  | None -> ()
+  { slots = s; times = tm; size = slots; occupied = 0; overwrites = 0 }
 
 (* Detach first: any later access through [t] hits the empty arrays and
    raises, rather than reading or writing a signature some other session
@@ -77,8 +75,12 @@ let recycle t =
     Mutex.protect pool_mu (fun () -> pool := List.filteri (fun i _ -> i < pool_cap) ((s, tm) :: !pool))
   end
 
-let pooled ~slots =
-  Mutex.protect pool_mu (fun () -> List.length (List.filter (fun (s, _) -> Array.length s = slots) !pool))
+module For_tests = struct
+  let pool_cap = pool_cap
+
+  let pooled ~slots =
+    Mutex.protect pool_mu (fun () -> List.length (List.filter (fun (s, _) -> Array.length s = slots) !pool))
+end
 
 let size t = t.size
 let occupied t = t.occupied

@@ -7,26 +7,26 @@ type t
 
 val create : ?account:Ddp_util.Mem_account.t * string -> slots:int -> unit -> t
 (** A cleared signature of [slots] slots, charged to [account].  Reuses
-    the arrays of a released store of the same size when the process
+    the arrays of a recycled store of the same size when the process
     pool holds one, and allocates them otherwise. *)
-
-val release : t -> unit
-(** Return the accounted bytes (call when discarding a signature). *)
 
 val recycle : t -> unit
 (** Hand the store's arrays back to the process pool (cleared here, on
-    the releasing side) for a later {!create} to reuse.  The store is
+    the recycling side) for a later {!create} to reuse.  The store is
     detached: every later {!probe}, {!set} or {!remove} on it raises
     [Invalid_argument] instead of touching a signature another session
     may now own.  Accounting is untouched: the bytes stay charged to the
     account given at {!create}.  Idempotent. *)
 
-val pool_cap : int
-(** Most stores the pool retains: it keeps the most recently recycled
-    ones and leaves older arrays to the collector. *)
+(** The pool's state, for tests. *)
+module For_tests : sig
+  val pool_cap : int
+  (** Most stores the pool retains: it keeps the most recently recycled
+      ones and leaves older arrays to the collector. *)
 
-val pooled : slots:int -> int
-(** Stores of [slots] slots waiting in the pool. *)
+  val pooled : slots:int -> int
+  (** Stores of [slots] slots waiting in the pool. *)
+end
 
 val size : t -> int
 val occupied : t -> int

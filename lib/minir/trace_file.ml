@@ -344,7 +344,7 @@ module Stream = struct
     mutable lb : Bytes.t;
     mutable ls : int;
     mutable le : int;
-    fields : int array;  (* the current event line's first six fields *)
+    fields : int array;  (* the delivered line's first six fields *)
     mutable nfields : int;  (* its field count, from [scan_fields] *)
     mutable slow : bool;  (* it has a field the digit loop cannot convert *)
     symtab : Symtab.t;
@@ -407,17 +407,69 @@ module Stream = struct
     Bytes.blit b off t.part t.part_len len;
     t.part_len <- t.part_len + len
 
+  (* One pass over a line's fields, from [i] (just after its first
+     byte, the tag of an event line) up to its '\n' or [lim], whichever
+     comes first; returns where it stopped, with the field count in
+     [nfields].  [ts] is the start of the current field (-1 between
+     fields) and [acc] its digit-loop value, or -1 once the loop met a
+     non-digit.  The first six fields land in [fields].  A field the loop
+     cannot take (not plain decimal, or too long to be sure it does not
+     overflow) only sets [slow]: [decode_line] then converts the line
+     again with [exact_fields].  Nothing here accepts or rejects: for a
+     line that is not an event line the fields are simply unused. *)
+  let rec scan_fields t b i lim n ts acc =
+    if i >= lim then end_fields t b i n ts acc
+    else
+      let c = Bytes.unsafe_get b i in
+      if c >= '0' && c <= '9' then
+        if ts < 0 then scan_fields t b (i + 1) lim n i (Char.code c - 48)
+        else if acc >= 0 then scan_fields t b (i + 1) lim n ts ((acc * 10) + (Char.code c - 48))
+        else scan_fields t b (i + 1) lim n ts acc
+      else if c = ' ' then
+        if ts < 0 then scan_fields t b (i + 1) lim n ts acc
+        else begin
+          quick_field t b ts i n acc;
+          scan_fields t b (i + 1) lim (n + 1) (-1) 0
+        end
+      else if c = '\n' then end_fields t b i n ts acc
+      else if ts < 0 then scan_fields t b (i + 1) lim n i (if c = '-' then 0 else -1)
+      else scan_fields t b (i + 1) lim n ts (-1)
+
+  and end_fields t b i n ts acc =
+    if ts < 0 then t.nfields <- n
+    else begin
+      quick_field t b ts i n acc;
+      t.nfields <- n + 1
+    end;
+    i
+
+  and quick_field t b ts te n acc =
+    let neg = Bytes.unsafe_get b ts = '-' in
+    let digits = if neg then te - ts - 1 else te - ts in
+    if acc >= 0 && digits > 0 && digits <= max_fast_digits then begin
+      if n < 6 then Array.unsafe_set t.fields n (if neg then -acc else acc)
+    end
+    else t.slow <- true
+
+  let scan_line t =
+    t.slow <- false;
+    scan_fields t t.lb (t.ls + 1) t.le 0 (-1) 0
+
   let deliver_part t =
     t.lb <- t.part;
     t.ls <- 0;
     t.le <- t.part_len;
-    t.part_len <- 0
+    t.part_len <- 0;
+    ignore (scan_line t : int)
 
   (* Find the next complete line (consuming its '\n') and set [lb, ls,
      le] to it, or — once [eof] has been declared — the unterminated
      tail, exactly as [input_line] delivers a final line with no
-     trailing newline.  [false] when the input is exhausted; by then
-     every fed chunk has been released. *)
+     trailing newline; its fields are scanned ([scan_fields]) on the
+     way.  A line that starts in the current chunk is found and scanned
+     in one pass, in place; only a line cut by the chunk's end is
+     copied into [part] and scanned once complete.  [false] when the
+     input is exhausted; by then every fed chunk has been released. *)
   let rec take_line t =
     if t.pos >= t.lim then
       if Queue.is_empty t.chunks then begin
@@ -437,7 +489,7 @@ module Stream = struct
         t.lim <- off + len;
         take_line t
       end
-    else
+    else if t.part_len > 0 then begin
       let i = index_newline t.cur t.pos t.lim in
       if i < 0 then begin
         append_part t t.cur t.pos (t.lim - t.pos);
@@ -445,18 +497,29 @@ module Stream = struct
         take_line t
       end
       else begin
-        if t.part_len = 0 then begin
-          t.lb <- t.cur;
-          t.ls <- t.pos;
-          t.le <- i
-        end
-        else begin
-          append_part t t.cur t.pos (i - t.pos);
-          deliver_part t
-        end;
+        append_part t t.cur t.pos (i - t.pos);
+        deliver_part t;
         t.pos <- i + 1;
         true
       end
+    end
+    else begin
+      t.lb <- t.cur;
+      t.ls <- t.pos;
+      t.le <- t.lim;
+      (* [scan_line] starts after the first byte: an empty line ends at it *)
+      let stop = if Bytes.unsafe_get t.cur t.pos = '\n' then t.pos else scan_line t in
+      if stop >= t.lim then begin
+        append_part t t.cur t.pos (t.lim - t.pos);
+        t.pos <- t.lim;
+        take_line t
+      end
+      else begin
+        t.le <- stop;
+        t.pos <- stop + 1;
+        true
+      end
+    end
 
   let line t = Bytes.sub_string t.lb t.ls (t.le - t.ls)
 
@@ -512,49 +575,6 @@ module Stream = struct
           else if kind = "file" then t.pending_files <- (id, name) :: t.pending_files
           else fail "unknown symtab kind %S" kind)
 
-  (* One pass over the fields of a line, from [i] (just after the tag)
-     up to its '\n' or [lim], whichever comes first; returns where it
-     stopped, with the field count in [nfields].  [ts] is the start of
-     the current field (-1 between fields) and [acc] its digit-loop
-     value, or -1 once the loop met a non-digit.  The first six fields
-     land in [fields].  A field the loop cannot take (not plain decimal,
-     or too long to be sure it does not overflow) only sets [slow]: the
-     caller converts that line again with [exact_fields], once it knows
-     the line is complete. *)
-  let rec scan_fields t b i lim n ts acc =
-    if i >= lim then end_fields t b i n ts acc
-    else
-      let c = Bytes.unsafe_get b i in
-      if c >= '0' && c <= '9' then
-        if ts < 0 then scan_fields t b (i + 1) lim n i (Char.code c - 48)
-        else if acc >= 0 then scan_fields t b (i + 1) lim n ts ((acc * 10) + (Char.code c - 48))
-        else scan_fields t b (i + 1) lim n ts acc
-      else if c = ' ' then
-        if ts < 0 then scan_fields t b (i + 1) lim n ts acc
-        else begin
-          quick_field t b ts i n acc;
-          scan_fields t b (i + 1) lim (n + 1) (-1) 0
-        end
-      else if c = '\n' then end_fields t b i n ts acc
-      else if ts < 0 then scan_fields t b (i + 1) lim n i (if c = '-' then 0 else -1)
-      else scan_fields t b (i + 1) lim n ts (-1)
-
-  and end_fields t b i n ts acc =
-    if ts < 0 then t.nfields <- n
-    else begin
-      quick_field t b ts i n acc;
-      t.nfields <- n + 1
-    end;
-    i
-
-  and quick_field t b ts te n acc =
-    let neg = Bytes.unsafe_get b ts = '-' in
-    let digits = if neg then te - ts - 1 else te - ts in
-    if acc >= 0 && digits > 0 && digits <= max_fast_digits then begin
-      if n < 6 then Array.unsafe_set t.fields n (if neg then -acc else acc)
-    end
-    else t.slow <- true
-
   let rec token_end b i e = if i < e && Bytes.unsafe_get b i <> ' ' then token_end b (i + 1) e else i
 
   (* The fields of the delivered line [lb, ls, le) after the tag, every
@@ -603,14 +623,9 @@ module Stream = struct
       if List.mem tag t.skip_tags then Need_more (* declared by an unknown class: skip *)
       else fail "malformed event line %S" (line t)
 
-  (* The event of the delivered line, whose fields [scan_fields] has
-     scanned. *)
-  let event_line t =
-    let n = if t.slow then exact_fields t (t.ls + 1) 0 else t.nfields in
-    event_of t (Bytes.unsafe_get t.lb t.ls) n
-
-  (* Decode the line [take_line] delivered: [Event] for an event line,
-     [Need_more] for a line that produces none. *)
+  (* Decode the line [take_line] delivered, whose fields it has
+     scanned: [Event] for an event line, [Need_more] for a line that
+     produces none. *)
   let decode_line t =
     if not t.saw_magic then begin
       if line_is t magic then t.version <- 2
@@ -631,11 +646,7 @@ module Stream = struct
       parse_directive t (line t);
       Need_more
     end
-    else begin
-      t.slow <- false;
-      ignore (scan_fields t t.lb (t.ls + 1) t.le 0 (-1) 0 : int);
-      event_line t
-    end
+    else event_of t (Bytes.unsafe_get t.lb t.ls) (if t.slow then exact_fields t (t.ls + 1) 0 else t.nfields)
 
   (* Install the pending symbol table once the input is complete: names
      must land at the recorded ids, so insert in id order. *)
@@ -653,34 +664,9 @@ module Stream = struct
     insert t.symtab.Symtab.files t.pending_files;
     t.finished <- true
 
-  (* Event lines wholly inside the current chunk — nearly all of them —
-     take the fast path: one pass that finds the line's end and converts
-     its fields.  Everything else (the magic, directives, empty lines,
-     anything after the seal, a line cut by the chunk's end) goes
-     through [take_line] and [decode_line]. *)
   let rec next t =
     if t.finished then Done
-    else if
-      t.pos < t.lim && t.part_len = 0 && t.saw_magic && (not t.sealed)
-      &&
-      let c = Bytes.unsafe_get t.cur t.pos in
-      c <> '%' && c <> '\n'
-    then begin
-      t.slow <- false;
-      let stop = scan_fields t t.cur (t.pos + 1) t.lim 0 (-1) 0 in
-      if stop >= t.lim then general t
-      else begin
-        t.lb <- t.cur;
-        t.ls <- t.pos;
-        t.le <- stop;
-        t.pos <- stop + 1;
-        match event_line t with Event _ as ev -> ev | Need_more | Done -> next t
-      end
-    end
-    else general t
-
-  and general t =
-    if take_line t then
+    else if take_line t then
       match decode_line t with Event _ as ev -> ev | Need_more | Done -> next t
     else if not t.at_eof then Need_more
     else begin

@@ -225,7 +225,7 @@ let test_tenants_never_share_a_store () =
       (* warm the pool *)
       List.iteri (fun i tr -> check i (submit i tr)) traces;
       Alcotest.(check bool) "finished tenants left stores in the pool" true
-        (Ddp_core.Sig_store.pooled ~slots >= 2);
+        (Ddp_core.Sig_store.For_tests.pooled ~slots >= 2);
       (* reports are checked on this thread: a failure inside a client
          thread would only kill that thread *)
       let reports = Array.make (List.length traces) [] in
@@ -250,7 +250,7 @@ let test_tenants_never_share_a_store () =
           List.iter (fun r -> check i (ok_report r)) rs)
         reports;
       Alcotest.(check bool) "pool stays bounded" true
-        (Ddp_core.Sig_store.pooled ~slots <= Ddp_core.Sig_store.pool_cap))
+        (Ddp_core.Sig_store.For_tests.pooled ~slots <= Ddp_core.Sig_store.For_tests.pool_cap))
 
 let test_busy_and_retry () =
   let events, symtab = collect () in

@@ -50,8 +50,10 @@ let test_accounting () =
   let s = Ddp_core.Sig_store.create ~account:(acct, "sig") ~slots:1000 () in
   Alcotest.(check int) "charged" (1000 * Ddp_core.Sig_store.bytes_per_slot)
     (Ddp_util.Mem_account.current acct "sig");
-  Ddp_core.Sig_store.release s;
-  Alcotest.(check int) "released" 0 (Ddp_util.Mem_account.current acct "sig")
+  (* handing a finished store back to the pool leaves its charge alone *)
+  Ddp_core.Sig_store.recycle s;
+  Alcotest.(check int) "still charged after recycle" (1000 * Ddp_core.Sig_store.bytes_per_slot)
+    (Ddp_util.Mem_account.current acct "sig")
 
 let test_invalid_size () =
   Alcotest.check_raises "zero slots" (Invalid_argument "Sig_store.create: slots must be positive")
@@ -143,20 +145,31 @@ let test_recycle_detaches_and_clears () =
   (match Sig_store.set s ~addr:77 ~payload:(mk_payload 5) ~time:10 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "set on a recycled store accepted");
-  let before = Sig_store.pooled ~slots:recycle_slots in
+  let before = Sig_store.For_tests.pooled ~slots:recycle_slots in
   Alcotest.(check bool) "pooled" true (before >= 1);
   let s' = Sig_store.create ~slots:recycle_slots () in
-  Alcotest.(check int) "taken from the pool" (before - 1) (Sig_store.pooled ~slots:recycle_slots);
+  Alcotest.(check int) "taken from the pool" (before - 1) (Sig_store.For_tests.pooled ~slots:recycle_slots);
   Alcotest.(check int) "cleared payload" 0 (Sig_store.probe s' ~addr:77);
   Alcotest.(check int) "cleared time" 0 (Sig_store.probe_time s' ~addr:77);
   Alcotest.(check int) "occupancy zero" 0 (Sig_store.occupied s');
   Sig_store.recycle s'
 
 let test_pool_bounded () =
-  let stores = List.init (Sig_store.pool_cap + 3) (fun _ -> Sig_store.create ~slots:recycle_slots ()) in
+  let stores = List.init (Sig_store.For_tests.pool_cap + 3) (fun _ -> Sig_store.create ~slots:recycle_slots ()) in
   List.iter Sig_store.recycle stores;
   Alcotest.(check bool) "at most pool_cap retained" true
-    (Sig_store.pooled ~slots:recycle_slots <= Sig_store.pool_cap)
+    (Sig_store.For_tests.pooled ~slots:recycle_slots <= Sig_store.For_tests.pool_cap)
+
+(* The pool keeps the [pool_cap] most recently recycled stores: taking
+   one must not move the others ahead of stores recycled after them. *)
+let test_pool_keeps_most_recent () =
+  let a = 101 and b = 102 and c = 103 in
+  let create slots n = List.init n (fun _ -> Sig_store.create ~slots ()) in
+  List.iter Sig_store.recycle (create b 2 @ create a 1);
+  ignore (Sig_store.create ~slots:b () : Sig_store.t);
+  List.iter Sig_store.recycle (create c (Sig_store.For_tests.pool_cap - 1));
+  Alcotest.(check int) "newer store kept" 1 (Sig_store.For_tests.pooled ~slots:a);
+  Alcotest.(check int) "older store dropped" 0 (Sig_store.For_tests.pooled ~slots:b)
 
 (* Fresh stores, then stores last used on another trace, then again:
    the same keys every time. *)
@@ -164,7 +177,7 @@ let test_back_to_back_sessions () =
   let a = trace "scan-task" 4 and b = trace "msort-task-racy" 2 in
   let fresh = keys_of (serial_session ()) a in
   Alcotest.(check bool) "finished session handed both stores back" true
-    (Sig_store.pooled ~slots:recycle_slots >= 2);
+    (Sig_store.For_tests.pooled ~slots:recycle_slots >= 2);
   let other = keys_of (serial_session ()) b in
   let again = keys_of (serial_session ()) a in
   Alcotest.(check bool) "recycled stores, same keys" true (Ddp_core.Dep_store.Key_set.equal fresh again);
@@ -205,6 +218,7 @@ let suite =
     Alcotest.test_case "perfect remove" `Quick test_perfect_remove;
     Alcotest.test_case "recycle detaches and clears" `Quick test_recycle_detaches_and_clears;
     Alcotest.test_case "recycle pool bounded" `Quick test_pool_bounded;
+    Alcotest.test_case "recycle pool keeps the most recent" `Quick test_pool_keeps_most_recent;
     Alcotest.test_case "back-to-back sessions on recycled stores" `Quick test_back_to_back_sessions;
     Alcotest.test_case "finished session's hooks raise" `Quick test_late_hook_raises;
     Test_seed.to_alcotest prop_exact_when_no_collisions;
